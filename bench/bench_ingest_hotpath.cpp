@@ -1,7 +1,7 @@
 // Ingestion hot-path benchmark: decode + API resolution throughput and
 // heap-allocation counts, before and after the arena/string_view rework.
 //
-// Two claims are measured and recorded in BENCH_ingest.json:
+// Three figures are measured and recorded in BENCH_ingest.json:
 //  1. events/sec on decode+resolve: the zero-copy view parsers + transparent
 //     catalog lookup versus the legacy owning parsers + allocating
 //     normalize_uri + string-keyed lookup (kept in this binary as the
@@ -9,22 +9,11 @@
 //  2. allocations/event: a counting global operator new shows the warmed-up
 //     CaptureTap performs zero steady-state heap allocations per decoded
 //     event; the legacy path pays several per message.
-//
-// Also runs the shard-scaling sweep: end-to-end ingestion (decode +
-// detector) events/sec for every shard count in --shards × {per-event,
-// batched}, recorded in BENCH_shard_scaling.json together with the scaling
-// ratios and a determinism cross-check (detector stats must be identical
-// across every swept configuration — the pipeline contract).
+//  3. events/sec of end-to-end detector ingest: the decoded pool replayed
+//     through AnomalyDetector::on_event (dual buffer, error scan, latency
+//     pairing and level-shift detection).
 //
 // Usage: bench_ingest_hotpath [--events N] [--out PATH]
-//                             [--shards LIST] [--scaling-out PATH]
-//                             [--tripwire]
-//   --shards      comma-separated shard counts to sweep (default 1,2,4,8)
-//   --scaling-out where to write the sweep JSON (default
-//                 BENCH_shard_scaling.json)
-//   --tripwire    exit non-zero if 4-shard batched regresses vs 1-shard
-//                 batched: below parity on hosts with ≥ 6 CPUs, below the
-//                 0.6× single-core floor otherwise (see docs/PERFORMANCE.md)
 #include <algorithm>
 #include <atomic>
 #include <cctype>
@@ -43,8 +32,8 @@
 #include "wire/http_codec.h"
 
 // ---------------------------------------------------------------------------
-// Counting allocator hook.  Relaxed atomics: the decode measurements are
-// single-threaded; the sharded ingest section only uses wall-clock time.
+// Counting allocator hook.  Relaxed atomics keep the hook cheap; the
+// ingest measurement only uses wall-clock time.
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -515,82 +504,23 @@ DecodeMeasurement measure_decode(const std::vector<net::WireRecord>& pool,
   return m;
 }
 
-// Detector-output facts compared across sweep configurations: the pipeline
-// contract says these are invariant under shard count, batching and wake
-// cadence for a fixed input stream.
-struct IngestStats {
-  std::uint64_t events = 0;
-  std::uint64_t rest_errors = 0;
-  std::uint64_t rpc_errors = 0;
-  std::uint64_t operational_reports = 0;
-  std::uint64_t performance_reports = 0;
-  std::uint64_t suppressed_triggers = 0;
-  std::uint64_t latency_samples = 0;
-
-  bool operator==(const IngestStats&) const = default;
-};
-
-struct IngestMeasurement {
-  double events_per_sec = 0.0;
-  IngestStats stats;
-};
-
-core::GretelConfig ingest_config(const bench::BenchEnv& env,
-                                 std::size_t num_shards) {
+double measure_ingest(const bench::BenchEnv& env,
+                      const std::vector<wire::Event>& events,
+                      std::size_t passes) {
   core::GretelConfig config;
   config.fp_max = env.training.fp_max;
   config.p_rate = 2000.0;
-  config.num_shards = num_shards;
-  return config;
-}
-
-IngestMeasurement measure_ingest(const bench::BenchEnv& env,
-                                 const std::vector<wire::Event>& events,
-                                 std::size_t num_shards, bool batched,
-                                 std::size_t passes) {
   core::AnomalyDetector detector(&env.training.db, &env.catalog.apis(),
-                                 ingest_config(env, num_shards), nullptr);
-  // Warmup pass (thread spin-up, ring/slab growth).
-  if (batched) {
-    detector.on_events(events);
-  } else {
-    for (const auto& e : events) detector.on_event(e);
-  }
+                                 config, nullptr);
+  // Warmup pass (window and tracker growth).
+  for (const auto& e : events) detector.on_event(e);
   const auto t0 = std::chrono::steady_clock::now();
   for (std::size_t p = 0; p < passes; ++p) {
-    if (batched) {
-      detector.on_events(events);
-    } else {
-      for (const auto& e : events) detector.on_event(e);
-    }
+    for (const auto& e : events) detector.on_event(e);
   }
   const double elapsed = seconds_since(t0);
   detector.flush();
-
-  IngestMeasurement m;
-  m.events_per_sec = static_cast<double>(passes * events.size()) / elapsed;
-  const auto& s = detector.stats();
-  m.stats = {s.events,
-             s.rest_errors,
-             s.rpc_errors,
-             s.operational_reports,
-             s.performance_reports,
-             s.suppressed_triggers,
-             detector.latency_shards().samples()};
-  return m;
-}
-
-std::vector<std::size_t> parse_shard_list(const char* arg) {
-  std::vector<std::size_t> shards;
-  const char* p = arg;
-  while (*p) {
-    char* end = nullptr;
-    const auto v = std::strtoull(p, &end, 10);
-    if (end == p) break;
-    if (v > 0) shards.push_back(static_cast<std::size_t>(v));
-    p = *end == ',' ? end + 1 : end;
-  }
-  return shards;
+  return static_cast<double>(passes * events.size()) / elapsed;
 }
 
 }  // namespace
@@ -598,25 +528,12 @@ std::vector<std::size_t> parse_shard_list(const char* arg) {
 int main(int argc, char** argv) {
   std::size_t target_events = 400'000;
   std::string out_path = "BENCH_ingest.json";
-  std::string scaling_path = "BENCH_shard_scaling.json";
-  std::vector<std::size_t> shard_counts = {1, 2, 4, 8};
-  bool tripwire = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--events") == 0 && i + 1 < argc) {
       target_events = static_cast<std::size_t>(std::atoll(argv[++i]));
     } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
       out_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
-      shard_counts = parse_shard_list(argv[++i]);
-    } else if (std::strcmp(argv[i], "--scaling-out") == 0 && i + 1 < argc) {
-      scaling_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--tripwire") == 0) {
-      tripwire = true;
     }
-  }
-  if (shard_counts.empty()) {
-    std::fprintf(stderr, "--shards parsed to an empty list\n");
-    return 1;
   }
 
   bench::print_header("Ingestion hot path: decode+resolve and ingest");
@@ -650,69 +567,21 @@ int main(int argc, char** argv) {
               hot_m.events_per_sec, hot_m.allocs_per_event);
   std::printf("speedup: %.2fx\n\n", speedup);
 
-  // --- end-to-end ingest: the shard-scaling sweep ---
+  // --- end-to-end detector ingest ---
   std::vector<wire::Event> events;
   events.reserve(pool.size());
   for (const auto& r : pool) {
     if (auto e = tap.decode(r)) events.push_back(std::move(*e));
   }
-  struct IngestRow {
-    std::size_t shards;
-    const char* mode;  // "per_event" | "batched"
-    IngestMeasurement m;
-  };
-  std::vector<IngestRow> sweep;
-  for (const auto shards : shard_counts) {
-    sweep.push_back({shards, "per_event",
-                     measure_ingest(env, events, shards, false, passes)});
-    sweep.push_back({shards, "batched",
-                     measure_ingest(env, events, shards, true, passes)});
-  }
+  const double ingest_eps = measure_ingest(env, events, passes);
+  std::printf("%-22s %14.0f\n", "detector ingest", ingest_eps);
 
-  // Determinism cross-check: every swept configuration must produce the
-  // exact same detector-visible facts as the first one.  Not a benchmark —
-  // a correctness gate on the pipeline contract, run on the bench traffic.
-  const IngestStats& reference = sweep.front().m.stats;
-  bool deterministic = true;
-  for (const auto& row : sweep) {
-    if (!(row.m.stats == reference)) {
-      deterministic = false;
-      std::fprintf(stderr,
-                   "DETERMINISM VIOLATION at shards=%zu mode=%s: stats "
-                   "diverge from the %zu-shard %s reference\n",
-                   row.shards, row.mode, sweep.front().shards,
-                   sweep.front().mode);
-    }
-  }
-
-  auto find_rate = [&](std::size_t shards, const char* mode) -> double {
-    for (const auto& row : sweep) {
-      if (row.shards == shards && std::strcmp(row.mode, mode) == 0)
-        return row.m.events_per_sec;
-    }
-    return 0.0;
-  };
-  const double base_batched = find_rate(1, "batched");
-
-  std::printf("%-10s %-10s %14s %10s\n", "shards", "mode", "events/s",
-              "vs 1/batch");
-  for (const auto& row : sweep) {
-    std::printf("%-10zu %-10s %14.0f %9.2fx\n", row.shards, row.mode,
-                row.m.events_per_sec,
-                base_batched > 0 ? row.m.events_per_sec / base_batched : 0.0);
-  }
-  std::printf("determinism across sweep: %s\n",
-              deterministic ? "identical" : "VIOLATED");
-
-  const auto bench_config = ingest_config(env, 1);
   bench::BenchRunMeta meta;
   meta.benchmark = "ingest_hotpath";
   meta.events_measured = passes * pool.size();
   meta.pool_records = pool.size();
-  meta.ingest_batch = bench_config.ingest_batch;
-  meta.drain_interval = bench_config.drain_interval();
 
-  // --- BENCH_ingest.json (decode + the three headline ingest rows) ---
+  // --- BENCH_ingest.json ---
   std::FILE* f = std::fopen(out_path.c_str(), "w");
   if (!f) {
     std::fprintf(stderr, "cannot open %s\n", out_path.c_str());
@@ -733,109 +602,9 @@ int main(int argc, char** argv) {
                hot_m.events_per_sec, hot_m.allocs_per_event, speedup);
   std::fprintf(f, "  \"steady_state_allocs_per_event\": %.4f,\n",
                hot_m.allocs_per_event);
-  std::fprintf(f, "  \"ingest\": [\n");
-  struct Headline {
-    std::size_t shards;
-    const char* mode;
-  };
-  std::vector<Headline> headline;
-  for (const auto& h : {Headline{1, "per_event"}, Headline{1, "batched"},
-                        Headline{4, "batched"}}) {
-    if (find_rate(h.shards, h.mode) > 0) headline.push_back(h);
-  }
-  for (std::size_t i = 0; i < headline.size(); ++i) {
-    std::fprintf(f,
-                 "    {\"shards\": %zu, \"mode\": \"%s\", "
-                 "\"events_per_sec\": %.1f}%s\n",
-                 headline[i].shards, headline[i].mode,
-                 find_rate(headline[i].shards, headline[i].mode),
-                 i + 1 < headline.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
+  std::fprintf(f, "  \"ingest\": {\"events_per_sec\": %.1f}\n}\n",
+               ingest_eps);
   std::fclose(f);
   std::printf("\nwrote %s\n", out_path.c_str());
-
-  // --- BENCH_shard_scaling.json (full sweep + ratios + determinism) ---
-  f = std::fopen(scaling_path.c_str(), "w");
-  if (!f) {
-    std::fprintf(stderr, "cannot open %s\n", scaling_path.c_str());
-    return 1;
-  }
-  std::fprintf(f, "{\n");
-  meta.benchmark = "shard_scaling";
-  write_bench_meta(f, meta);
-  std::fprintf(f, ",\n");
-  std::fprintf(f, "  \"sweep\": [\n");
-  for (std::size_t i = 0; i < sweep.size(); ++i) {
-    const auto& row = sweep[i];
-    std::fprintf(f,
-                 "    {\"shards\": %zu, \"mode\": \"%s\", "
-                 "\"events_per_sec\": %.1f, \"vs_1shard_batched\": %.4f}%s\n",
-                 row.shards, row.mode, row.m.events_per_sec,
-                 base_batched > 0 ? row.m.events_per_sec / base_batched : 0.0,
-                 i + 1 < sweep.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"ratios\": {");
-  bool first_ratio = true;
-  for (const auto shards : shard_counts) {
-    if (shards == 1) continue;
-    const double r = find_rate(shards, "batched");
-    if (r <= 0 || base_batched <= 0) continue;
-    std::fprintf(f, "%s\n    \"batched_%zu_over_1\": %.4f",
-                 first_ratio ? "" : ",", shards, r / base_batched);
-    first_ratio = false;
-  }
-  std::fprintf(f, "\n  },\n");
-  std::fprintf(f,
-               "  \"determinism\": {\n"
-               "    \"identical_across_sweep\": %s,\n"
-               "    \"events\": %llu,\n"
-               "    \"operational_reports\": %llu,\n"
-               "    \"performance_reports\": %llu,\n"
-               "    \"rest_errors\": %llu,\n"
-               "    \"rpc_errors\": %llu,\n"
-               "    \"suppressed_triggers\": %llu,\n"
-               "    \"latency_samples\": %llu\n"
-               "  }\n",
-               deterministic ? "true" : "false",
-               static_cast<unsigned long long>(reference.events),
-               static_cast<unsigned long long>(reference.operational_reports),
-               static_cast<unsigned long long>(reference.performance_reports),
-               static_cast<unsigned long long>(reference.rest_errors),
-               static_cast<unsigned long long>(reference.rpc_errors),
-               static_cast<unsigned long long>(reference.suppressed_triggers),
-               static_cast<unsigned long long>(reference.latency_samples));
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", scaling_path.c_str());
-
-  if (!deterministic) return 2;
-
-  // --- regression tripwire (CI) ---
-  if (tripwire) {
-    const double r4 = find_rate(4, "batched");
-    if (r4 <= 0 || base_batched <= 0) {
-      std::fprintf(stderr,
-                   "tripwire: sweep lacks 1- and 4-shard batched rows\n");
-      return 2;
-    }
-    const double ratio = r4 / base_batched;
-    // With real cores available, 4 shards must at least match 1 shard.  On
-    // small hosts (CI runners, this build container) parallel speedup is
-    // physically unavailable; the floor instead guards against the
-    // coordination-cost collapse the seed exhibited (0.39x on one core).
-    const double floor = bench::host_cpus() >= 6 ? 1.0 : 0.6;
-    std::printf("tripwire: 4-shard/1-shard batched = %.2fx (floor %.2fx, "
-                "%u cpus)\n",
-                ratio, floor, bench::host_cpus());
-    if (ratio < floor) {
-      std::fprintf(stderr,
-                   "tripwire FAILED: 4-shard batched ingest at %.2fx of "
-                   "1-shard (floor %.2fx)\n",
-                   ratio, floor);
-      return 2;
-    }
-  }
   return 0;
 }

@@ -2,8 +2,9 @@
 
 #include <chrono>
 #include <cstdio>
-#include <thread>
 #include <unordered_map>
+
+#include <unistd.h>
 
 #include "stack/workflow.h"
 
@@ -156,7 +157,10 @@ void print_header(const std::string& title) {
   std::printf("\n=== %s ===\n", title.c_str());
 }
 
-unsigned host_cpus() { return std::thread::hardware_concurrency(); }
+unsigned host_cpus() {
+  const long n = sysconf(_SC_NPROCESSORS_ONLN);
+  return n > 0 ? static_cast<unsigned>(n) : 0;
+}
 
 namespace {
 
@@ -195,16 +199,14 @@ void write_bench_meta(std::FILE* f, const BenchRunMeta& meta) {
                "    \"schema_version\": %d,\n"
                "    \"events_measured\": %zu,\n"
                "    \"pool_records\": %zu,\n"
-               "    \"ingest_batch\": %zu,\n"
-               "    \"drain_interval\": %zu,\n"
                "    \"host_cpus\": %u,\n"
                "    \"compiler\": \"%s\",\n"
                "    \"optimized\": %s,\n"
                "    \"ndebug\": %s\n"
                "  }",
                meta.benchmark.c_str(), meta.schema_version,
-               meta.events_measured, meta.pool_records, meta.ingest_batch,
-               meta.drain_interval, host_cpus(), compiler_string(),
+               meta.events_measured, meta.pool_records, host_cpus(),
+               compiler_string(),
                build_optimized() ? "true" : "false",
                build_ndebug() ? "true" : "false");
 }

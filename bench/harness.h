@@ -81,18 +81,16 @@ void print_header(const std::string& title);
 
 struct BenchRunMeta {
   std::string benchmark;         // e.g. "ingest_hotpath"
-  int schema_version = 1;
+  int schema_version = 2;
   std::size_t events_measured = 0;  // events per timed measurement
   std::size_t pool_records = 0;     // synthetic record pool size
-  std::size_t ingest_batch = 0;     // events per on_events batch (0 = n/a)
-  std::size_t drain_interval = 0;   // pipeline drain cadence (0 = n/a)
 };
 
 // Writes `  "meta": { ... }` (two-space indent, no trailing comma) with the
 // host CPU count, compiler and optimization facts filled in automatically.
 void write_bench_meta(std::FILE* f, const BenchRunMeta& meta);
 
-// Host hardware threads as recorded in the meta block (0 = unknown).
+// Online host CPUs as recorded in the meta block (0 = unknown).
 unsigned host_cpus();
 
 }  // namespace gretel::bench

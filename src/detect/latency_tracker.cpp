@@ -137,7 +137,7 @@ std::optional<LatencyAlarm> LatencyTracker::observe(
   // Pairing-time admission: a response past the orphan timeout is the tail
   // of an exchange the tap effectively lost — its latency reflects the
   // degradation, not the service.  Decided here (never in the sweep) so
-  // output is independent of sweep cadence and shard layout.
+  // output is independent of sweep cadence.
   if (orphan_timeout_seconds_ > 0.0 &&
       (event.ts - req_ts).to_seconds() > orphan_timeout_seconds_) {
     ++guards_.orphans_reaped;

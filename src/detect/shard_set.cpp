@@ -5,50 +5,21 @@
 
 namespace gretel::detect {
 
-LatencyShardSet::LatencyShardSet(std::size_t num_shards,
-                                 LatencyTracker::Factory factory) {
-  if (num_shards == 0) num_shards = 1;
-  shards_.reserve(num_shards);
-  for (std::size_t i = 0; i < num_shards; ++i) {
-    shards_.emplace_back(factory);
-  }
-}
+LatencyShardSet::LatencyShardSet(LatencyTracker::Factory factory)
+    : tracker_(std::move(factory)) {}
 
-LatencyShardSet::LatencyShardSet(std::size_t num_shards)
-    : LatencyShardSet(num_shards, [] { return make_level_shift(); }) {}
-
-std::size_t LatencyShardSet::shard_of(wire::ApiId api,
-                                      std::size_t num_shards) {
-  if (num_shards <= 1) return 0;
-  // Knuth multiplicative hash; stable across platforms and shard counts.
-  const std::uint32_t h = api.value() * 2654435761u;
-  return static_cast<std::size_t>(h) % num_shards;
-}
-
-std::uint64_t LatencyShardSet::samples() const {
-  std::uint64_t total = 0;
-  for (const auto& s : shards_) total += s.samples();
-  return total;
-}
-
-std::size_t LatencyShardSet::pending() const {
-  std::size_t total = 0;
-  for (const auto& s : shards_) total += s.pending();
-  return total;
-}
+LatencyShardSet::LatencyShardSet()
+    : LatencyShardSet([] { return make_level_shift(); }) {}
 
 void LatencyShardSet::save_state(std::string& out) const {
-  util::put_u32(out, static_cast<std::uint32_t>(shards_.size()));
-  for (const auto& s : shards_) s.save_state(out);
+  util::put_u32(out, 1);
+  tracker_.save_state(out);
 }
 
 bool LatencyShardSet::load_state(std::string_view& in) {
   std::uint32_t n = 0;
-  if (!util::get_u32(in, n) || n != shards_.size()) return false;
-  for (auto& s : shards_) {
-    if (!s.load_state(in)) return false;
-  }
-  return true;
+  if (!util::get_u32(in, n) || n != 1) return false;
+  return tracker_.load_state(in);
 }
 
 }  // namespace gretel::detect

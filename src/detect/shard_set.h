@@ -1,22 +1,16 @@
-// Shard-local latency/level-shift state for the concurrent analyzer.
+// The anomaly detector's latency/level-shift state.
 //
 // GRETEL's per-API independence (§5.3: every API's latency series feeds its
-// own outlier detector) makes anomaly detection trivially partitionable:
-// hash each API onto one of N shards and every request/response pairing,
-// latency series and level-shift detector for that API lives wholly inside
-// that shard.  Shards share no mutable state, so N shard workers can run
-// concurrently without locks, and the alarm stream per API is identical for
-// any shard count — the basis of the pipeline's determinism contract.
-//
-// Thread contract: shard(i) may be driven by at most one thread at a time;
-// distinct shards may be driven concurrently.  The aggregated accessors
-// (series / samples / pending) require the pipeline to be quiescent (all
-// shard workers drained or parked behind a barrier).
+// own outlier detector) lives inside one LatencyTracker; this set wraps it
+// behind the accessors the detector, the streaming front end and the
+// checkpoint code use.  It holds exactly one tracker (num_shards() is 1);
+// the name and the leading count word of its checkpoint blob are kept so
+// the checkpoint layout stays stable and a blob written with a different
+// count is refused rather than misread.
 #pragma once
 
 #include <cstddef>
 #include <optional>
-#include <vector>
 
 #include "detect/latency_tracker.h"
 
@@ -24,98 +18,55 @@ namespace gretel::detect {
 
 class LatencyShardSet {
  public:
-  // N shards, each minting its detectors from `factory` (the default is the
-  // level-shift detector, matching LatencyTracker's own default).
-  LatencyShardSet(std::size_t num_shards, LatencyTracker::Factory factory);
-  explicit LatencyShardSet(std::size_t num_shards = 1);
+  // Mints its detectors from `factory` (the default is the level-shift
+  // detector, matching LatencyTracker's own default).
+  explicit LatencyShardSet(LatencyTracker::Factory factory);
+  LatencyShardSet();
 
-  // Stable API → shard mapping (multiplicative hash so consecutively
-  // numbered APIs of one service spread across shards).
-  static std::size_t shard_of(wire::ApiId api, std::size_t num_shards);
-  std::size_t shard_of(wire::ApiId api) const {
-    return shard_of(api, shards_.size());
-  }
+  std::size_t num_shards() const { return 1; }
 
-  std::size_t num_shards() const { return shards_.size(); }
-  LatencyTracker& shard(std::size_t idx) { return shards_[idx]; }
-  const LatencyTracker& shard(std::size_t idx) const { return shards_[idx]; }
-
-  // Serial convenience: routes the event to its owning shard.  With one
-  // shard this is exactly a plain LatencyTracker.
   std::optional<LatencyAlarm> observe(const wire::Event& event) {
-    return shards_[shard_of(event.api)].observe(event);
+    return tracker_.observe(event);
   }
   std::optional<LatencyAlarm> observe(const wire::EventHeader& event) {
-    return shards_[shard_of(event.api)].observe(event);
+    return tracker_.observe(event);
   }
 
-  // Arms the orphan-request reaper on every shard (0 = off).  Admission is
-  // decided at pairing time inside each tracker, so detection output stays
-  // shard-count-invariant (see LatencyTracker).
+  // Arms the orphan-request reaper (0 = off).
   void set_orphan_timeout_seconds(double seconds) {
-    for (auto& s : shards_) s.set_orphan_timeout_seconds(seconds);
+    tracker_.set_orphan_timeout_seconds(seconds);
   }
 
-  // Streaming bounds, fanned out per shard (quiescent pipeline only; the
-  // stream analyzer applies them before any event flows).
-  void set_inflight_cap(std::size_t per_shard_cap) {
-    for (auto& s : shards_) s.set_inflight_cap(per_shard_cap);
-  }
-  void set_series_cap(std::size_t cap) {
-    for (auto& s : shards_) s.set_series_cap(cap);
-  }
-  void set_sketch_enabled(bool on) {
-    for (auto& s : shards_) s.set_sketch_enabled(on);
-  }
+  // Streaming bounds (the stream analyzer applies them before any event
+  // flows).
+  void set_inflight_cap(std::size_t cap) { tracker_.set_inflight_cap(cap); }
+  void set_series_cap(std::size_t cap) { tracker_.set_series_cap(cap); }
+  void set_sketch_enabled(bool on) { tracker_.set_sketch_enabled(on); }
 
-  // Time-based orphan sweep across every shard (quiescent pipeline only —
-  // the stream tick runs it right after a drain, when workers are parked).
-  void sweep_now(util::SimTime now) {
-    for (auto& s : shards_) s.sweep_now(now);
-  }
+  // Time-based orphan sweep (the stream tick runs it when no events flow).
+  void sweep_now(util::SimTime now) { tracker_.sweep_now(now); }
 
-  // Aggregated views over all shards (quiescent pipeline only).
   const util::TimeSeries* series(wire::ApiId api) const {
-    return shards_[shard_of(api)].series(api);
+    return tracker_.series(api);
   }
   const util::QuantileSketch* sketch(wire::ApiId api) const {
-    return shards_[shard_of(api)].sketch(api);
+    return tracker_.sketch(api);
   }
-  std::uint64_t samples() const;
-  std::size_t pending() const;
-  std::size_t series_points() const {
-    std::size_t total = 0;
-    for (const auto& s : shards_) total += s.series_points();
-    return total;
+  std::uint64_t samples() const { return tracker_.samples(); }
+  std::size_t pending() const { return tracker_.pending(); }
+  std::size_t series_points() const { return tracker_.series_points(); }
+  std::size_t inflight_queue() const { return tracker_.inflight_queue(); }
+  const LatencyGuardStats& guards_total() const {
+    return tracker_.guard_stats();
   }
-  std::size_t inflight_queue() const {
-    std::size_t total = 0;
-    for (const auto& s : shards_) total += s.inflight_queue();
-    return total;
-  }
-  // Checkpoint support: per-shard LatencyTracker blobs, shard count first.
-  // load_state refuses a blob written under a different shard count — the
-  // API→shard mapping is part of the state's shape, and restore always
-  // constructs the set from the same config that wrote the checkpoint
-  // (quiescent pipeline only, like the other aggregate accessors).
+
+  // Checkpoint support: a u32 tracker count (always 1), then the tracker's
+  // blob.  load_state refuses any other count.
   void save_state(std::string& out) const;
   bool load_state(std::string_view& in);
 
-  LatencyGuardStats guards_total() const {
-    LatencyGuardStats total;
-    for (const auto& s : shards_) {
-      const auto& g = s.guard_stats();
-      total.clamped_negative += g.clamped_negative;
-      total.rejected_nonfinite += g.rejected_nonfinite;
-      total.orphans_reaped += g.orphans_reaped;
-      total.inflight_evicted += g.inflight_evicted;
-      total.series_trimmed += g.series_trimmed;
-    }
-    return total;
-  }
-
  private:
-  std::vector<LatencyTracker> shards_;
+  LatencyTracker tracker_;
 };
 
 }  // namespace gretel::detect

@@ -64,8 +64,8 @@ Analyzer::Analyzer(const FingerprintDb* db, const wire::ApiCatalog* catalog,
     const auto& cfg = detector_.config();
     latency.set_series_cap(cfg.stream_series_cap);
     if (cfg.stream_inflight_cap > 0) {
-      latency.set_inflight_cap(std::max<std::size_t>(
-          64, cfg.stream_inflight_cap / latency.num_shards()));
+      latency.set_inflight_cap(
+          std::max<std::size_t>(64, cfg.stream_inflight_cap));
     }
     latency.set_sketch_enabled(true);
     metrics_.set_retention_seconds(cfg.stream_metrics_retention_s);
@@ -87,38 +87,6 @@ void Analyzer::on_event(const wire::Event& event) {
   detector_.on_event(event);
 }
 
-void Analyzer::on_wire_batch(std::span<const net::WireRecord> records) {
-  const std::size_t chunk =
-      std::max<std::size_t>(1, detector_.config().ingest_batch);
-  std::size_t i = 0;
-  while (i < records.size()) {
-    const auto take = std::min(chunk, records.size() - i);
-    event_scratch_.clear();
-    for (std::size_t k = 0; k < take; ++k) {
-      // decode() resets the tap arena per record, but the Event copies out
-      // everything it keeps, so accumulating across resets is safe.
-      const auto failures_before = tap_.stats().decode_failures;
-      auto event = tap_.decode(records[i + k]);
-      if (const auto delta =
-              tap_.stats().decode_failures - failures_before) {
-        // Keep loss attribution at the exact stream position: hand the
-        // events decoded so far to the detector before recording the loss,
-        // so the per-record and batched paths annotate windows identically.
-        detector_.on_events(event_scratch_);
-        event_scratch_.clear();
-        detector_.record_loss(delta);
-      }
-      if (event) event_scratch_.push_back(std::move(*event));
-    }
-    detector_.on_events(event_scratch_);
-    i += take;
-  }
-}
-
-void Analyzer::on_events(std::span<const wire::Event> events) {
-  detector_.on_events(events);
-}
-
 void Analyzer::on_metric(wire::NodeId node, net::ResourceKind kind,
                          double t_seconds, double value) {
   metrics_.record(node, kind, t_seconds, value);
@@ -127,7 +95,7 @@ void Analyzer::on_metric(wire::NodeId node, net::ResourceKind kind,
 
 void Analyzer::finish() { detector_.flush(); }
 
-monitor::PipelineHealthCounters Analyzer::health() {
+monitor::PipelineHealthCounters Analyzer::health() const {
   const auto& tap = tap_.stats();
   const auto& det = detector_.stats();
   monitor::PipelineHealthCounters h;
@@ -136,8 +104,6 @@ monitor::PipelineHealthCounters Analyzer::health() {
   h.frames_unknown_api = tap.unknown_api;
   h.frames_non_monotonic = tap.non_monotonic;
   h.losses_recorded = det.losses_recorded;
-  h.overflow_drops = det.overflow_drops;
-  h.watchdog_trips = det.watchdog_trips;
   h.orphans_reaped = det.orphans_reaped;
   h.latency_clamped = det.latency_clamped;
   h.latency_rejected = det.latency_rejected;
@@ -156,13 +122,9 @@ monitor::PipelineHealthCounters Analyzer::health() {
   h.probe_budget_exhausted = probe.budget_exhausted;
   h.stale_series = sink_stale_series_;
   for (const auto& d : diagnoses_) h.stale_series += d.root_cause.stale_series;
-  // Streaming bounds + per-shard liveness.
+  // Streaming bounds.
   h.inflight_evicted = det.inflight_evicted;
   h.series_trimmed = det.series_trimmed;
-  for (const auto& s : detector_.shard_health()) {
-    h.shard_progress_age_ms.push_back(s.progress_age_ms);
-    if (s.stalled) ++h.stalled_shards;
-  }
   return h;
 }
 

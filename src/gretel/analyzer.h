@@ -6,21 +6,15 @@
 //   collectd metrics ─┐                       ▼
 //   dependency watch ─┴─────────────▶ RootCauseEngine ──▶ Diagnoses
 //
-// The analyzer's external contract is single-threaded and deterministic:
-// on_wire()/on_event() are called in capture order from one thread, faults
-// are reported synchronously (on that thread) once their future context
-// arrives, and finish() flushes triggers still waiting at end of stream.
-// Internally, Options::config.num_shards > 1 runs anomaly detection on a
-// sharded worker pipeline and num_match_workers > 0 fans fingerprint
-// scoring out over a worker pool — with identical reports for any shard or
-// worker count (docs/ARCHITECTURE.md, "Determinism").  Metrics must be
-// populated (ResourceMonitor::sample_range) before diagnoses that depend
-// on them are read.
+// The analyzer is serial and deterministic: on_wire()/on_event() are
+// called in capture order from one thread, faults are reported
+// synchronously (on that thread) once their future context arrives, and
+// finish() flushes triggers still waiting at end of stream.  Metrics must
+// be populated (ResourceMonitor::sample_range) before diagnoses that
+// depend on them are read.
 #pragma once
 
 #include <functional>
-#include <memory>
-#include <span>
 #include <vector>
 
 #include "gretel/anomaly_detector.h"
@@ -66,22 +60,12 @@ class Analyzer {
   // Pre-decoded entry point (replay of event captures).
   void on_event(const wire::Event& event);
 
-  // Batched wire-level entry point: decodes config.ingest_batch records at
-  // a time into a reusable event buffer and feeds the detector's batched
-  // path.  Byte-identical reports to calling on_wire() per record; the
-  // batching only amortizes per-event synchronization on the sharded
-  // pipeline.
-  void on_wire_batch(std::span<const net::WireRecord> records);
-
-  // Pre-decoded batched entry point.
-  void on_events(std::span<const wire::Event> events);
-
   // Flushes pending snapshots at end of stream.
   void finish();
 
   // Incremental streaming tick (see AnomalyDetector::tick): emits ready
-  // reports, force-emits overdue ones, sweeps orphans, runs the
-  // steady-state stall watchdog.  `now` is the stream watermark.
+  // reports, force-emits overdue ones, sweeps orphans.  `now` is the
+  // stream watermark.
   void tick(util::SimTime now) { detector_.tick(now); }
 
   // Telemetry-loss notification from a streaming admission layer (records
@@ -98,11 +82,10 @@ class Analyzer {
   const net::TapStats& tap_stats() const { return tap_.stats(); }
 
   // Flat degraded-telemetry counter snapshot for operator export (see
-  // monitor::PipelineHealthCounters).  The detector-side totals are
-  // aggregated at quiescent points, so call after finish() (or a tick())
-  // for exact values.  Non-const: refreshing the per-shard last-progress
-  // clocks is part of the snapshot.
-  monitor::PipelineHealthCounters health();
+  // monitor::PipelineHealthCounters).  The detector-side guard totals are
+  // refreshed by finish() and tick(), so call after one of them for exact
+  // values.
+  monitor::PipelineHealthCounters health() const;
 
   // Monitoring-side stores feeding the root-cause engine.
   monitor::MetricsStore& metrics() { return metrics_; }
@@ -123,8 +106,7 @@ class Analyzer {
 
   const GretelConfig& config() const { return detector_.config(); }
 
-  // Latency series recorded for an API (sharded internally; safe to read
-  // between on_wire/on_event calls or after finish()).
+  // Latency series recorded for an API.
   const util::TimeSeries* latency_series(wire::ApiId api) const {
     return detector_.latency_series(api);
   }
@@ -137,7 +119,7 @@ class Analyzer {
   // stream's detectors and alarms.  The metrics store is deliberately not
   // snapshotted: it is repopulated by the monitor re-attach on restart
   // (ResourceMonitor::sample_range), the same way a fresh analyzer gets
-  // its metrics.  Call only at quiescent points (after finish()/tick()).
+  // its metrics.  Call after finish() or tick().
   // load_state expects a freshly constructed analyzer with the same
   // options; returns false on torn input.
   void save_state(std::string& out) const;
@@ -156,9 +138,6 @@ class Analyzer {
   // Stale-series total accumulated as diagnoses flow through the sink
   // (health() can no longer sum over a retained vector in sink mode).
   std::uint64_t sink_stale_series_ = 0;
-  // Decoded-event buffer for on_wire_batch (capacity retained across
-  // batches; bounded by config.ingest_batch).
-  std::vector<wire::Event> event_scratch_;
 };
 
 }  // namespace gretel::core

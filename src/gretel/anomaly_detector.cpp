@@ -14,71 +14,11 @@ AnomalyDetector::AnomalyDetector(const FingerprintDb* db,
       config_(config),
       callback_(std::move(callback)),
       detector_(db, catalog, config),
-      buffer_(config.alpha()),
-      latency_(config.num_shards),
-      match_pool_(config.num_match_workers),
-      drain_interval_(config.drain_interval()) {
+      buffer_(config.alpha()) {
   latency_.set_orphan_timeout_seconds(config_.orphan_timeout_seconds);
-  if (config_.num_shards > 1) {
-    // Ring sized so a whole drain interval fits even if every event hashes
-    // to one shard; submit() backpressure covers pathological imbalance.
-    ResilienceOptions resilience;
-    resilience.overflow_policy = config_.overflow_policy;
-    resilience.spill_capacity = config_.overflow_spill;
-    resilience.watchdog_ms = config_.watchdog_ms;
-    resilience.wake_events = config_.shard_wake_events;
-    pipeline_ = std::make_unique<ShardPipeline>(
-        &latency_, std::max<std::size_t>(64, 2 * drain_interval_),
-        resilience);
-  }
 }
 
-void AnomalyDetector::on_event(wire::Event event) {
-  if (pipeline_) {
-    // Concurrent path: append to the shared window, hand the event's header
-    // to its shard, and periodically join to fold in discovered triggers.
-    ++stats_.events;
-    const auto seq = buffer_.push_stamped(event, loss_count_);
-    pipeline_->submit(wire::EventHeader(event, seq));
-    fold_overflow_losses();
-    if (++since_drain_ >= drain_interval_) sync_shards(/*force=*/false);
-    return;
-  }
-
-  ingest_serial(event);
-}
-
-void AnomalyDetector::on_events(std::span<const wire::Event> events) {
-  if (!pipeline_) {
-    for (const auto& event : events) ingest_serial(event);
-    return;
-  }
-
-  // Concurrent path: split the batch so no chunk crosses a drain boundary.
-  // The serial-equivalence argument for the per-event path hinges on
-  // sync_shards() running at fixed event counts; chunking at exactly those
-  // counts keeps the join points — and the seq-ordered trigger merge —
-  // identical to per-event ingestion for any batch size.
-  std::size_t i = 0;
-  while (i < events.size()) {
-    const std::size_t room = drain_interval_ - since_drain_;
-    const std::size_t take = std::min(room, events.size() - i);
-    batch_scratch_.clear();
-    for (std::size_t k = 0; k < take; ++k) {
-      const auto& source = events[i + k];
-      ++stats_.events;
-      const auto seq = buffer_.push_stamped(source, loss_count_);
-      batch_scratch_.emplace_back(source, seq);
-    }
-    pipeline_->submit_batch(batch_scratch_);
-    fold_overflow_losses();
-    since_drain_ += take;
-    if (since_drain_ >= drain_interval_) sync_shards(/*force=*/false);
-    i += take;
-  }
-}
-
-void AnomalyDetector::ingest_serial(const wire::Event& source) {
+void AnomalyDetector::on_event(const wire::Event& source) {
   // Push first, stamping the assigned seq in-ring — the detection scan only
   // reads header fields, so the hot path never copies the full event.
   ++stats_.events;
@@ -108,15 +48,6 @@ void AnomalyDetector::ingest_serial(const wire::Event& source) {
   run_ready(/*force=*/false);
 }
 
-void AnomalyDetector::fold_overflow_losses() {
-  if (!pipeline_) return;
-  const auto dropped = pipeline_->overflow_dropped();
-  if (dropped != overflow_folded_) {
-    loss_count_ += dropped - overflow_folded_;
-    overflow_folded_ = dropped;
-  }
-}
-
 void AnomalyDetector::maybe_trigger_operational(std::uint64_t seq,
                                                 wire::ApiId api,
                                                 util::SimTime ts) {
@@ -134,35 +65,6 @@ void AnomalyDetector::maybe_trigger_operational(std::uint64_t seq,
   p.kind = FaultKind::Operational;
   p.triggered_at = ts;
   pending_.push_back(std::move(p));
-}
-
-void AnomalyDetector::sync_shards(bool force) {
-  since_drain_ = 0;
-  std::vector<ShardTrigger> triggers;
-  pipeline_->drain(&triggers);
-  // Triggers arrive sorted by sequence, reproducing the serial detector's
-  // discovery order; suppression therefore resolves identically.
-  for (auto& t : triggers) {
-    if (t.kind == FaultKind::Operational) {
-      ++stats_.rest_errors;
-      maybe_trigger_operational(t.seq, t.api, t.ts);
-    } else {
-      PendingSnapshot p;
-      p.center = t.seq;
-      p.api = t.api;
-      p.kind = FaultKind::Performance;
-      p.triggered_at = t.ts;
-      p.alarm = std::move(t.alarm);
-      pending_.push_back(std::move(p));
-    }
-  }
-  stats_.rpc_errors = pipeline_->rpc_errors();
-  // Drain may have shed spill under a tripped watchdog; fold those drops
-  // before anything freezes a window over the gap.
-  fold_overflow_losses();
-  stats_.overflow_drops = pipeline_->overflow_dropped();
-  stats_.watchdog_trips = pipeline_->watchdog_trips();
-  run_ready(force);
 }
 
 void AnomalyDetector::run_ready(bool force) {
@@ -217,7 +119,7 @@ void AnomalyDetector::run_snapshot(const PendingSnapshot& pending) {
 
   const auto detection =
       detector_.detect(window, window_cols_, anchor_index, anchor,
-                       pending.kind == FaultKind::Operational, &match_pool_);
+                       pending.kind == FaultKind::Operational);
 
   FaultReport report;
   report.kind = pending.kind;
@@ -252,12 +154,10 @@ void AnomalyDetector::run_snapshot(const PendingSnapshot& pending) {
 }
 
 void AnomalyDetector::refresh_guard_stats() {
-  // Quiescent point: snapshot the degraded-telemetry accounting.  The
-  // latency guard totals are only aggregated here because reading shard
-  // trackers requires the workers to be parked.
+  // Snapshot the degraded-telemetry accounting.
   stats_.losses_recorded = loss_count_;
   stats_.stale_freezes = buffer_.stale_freezes();
-  const auto guards = latency_.guards_total();
+  const auto& guards = latency_.guards_total();
   stats_.orphans_reaped = guards.orphans_reaped;
   stats_.latency_clamped = guards.clamped_negative;
   stats_.latency_rejected = guards.rejected_nonfinite;
@@ -266,24 +166,12 @@ void AnomalyDetector::refresh_guard_stats() {
 }
 
 void AnomalyDetector::flush() {
-  if (pipeline_) {
-    sync_shards(/*force=*/true);
-  } else {
-    run_ready(/*force=*/true);
-  }
+  run_ready(/*force=*/true);
   refresh_guard_stats();
 }
 
 void AnomalyDetector::tick(util::SimTime now) {
-  if (pipeline_) {
-    // Steady-state watchdog first: a wedged shard is flagged while it still
-    // holds backlog, before the drain below either abandons it (watchdog
-    // armed) or blocks on it.
-    pipeline_->check_stalls();
-    sync_shards(/*force=*/false);
-  } else {
-    run_ready(/*force=*/false);
-  }
+  run_ready(/*force=*/false);
 
   // Deadline forcing: a pending trigger whose future half-window never
   // filled (the stream went quiet) is emitted with the context that did
@@ -303,10 +191,9 @@ void AnomalyDetector::tick(util::SimTime now) {
   }
 
   // Time-based orphan sweep (the observe-cadence sweep only fires while
-  // events flow).  Safe here: the drain above parked every shard worker.
+  // events flow).
   latency_.sweep_now(now);
   refresh_guard_stats();
-  if (pipeline_) stats_.watchdog_trips = pipeline_->watchdog_trips();
 }
 
 void AnomalyDetector::save_state(std::string& out) const {
@@ -319,8 +206,8 @@ void AnomalyDetector::save_state(std::string& out) const {
   util::put_u64(out, stats_.performance_reports);
   util::put_u64(out, stats_.suppressed_triggers);
   util::put_u64(out, stats_.losses_recorded);
-  util::put_u64(out, stats_.overflow_drops);
-  util::put_u64(out, stats_.watchdog_trips);
+  util::put_u64(out, 0);  // former overflow_drops slot
+  util::put_u64(out, 0);  // former watchdog_trips slot
   util::put_u64(out, stats_.orphans_reaped);
   util::put_u64(out, stats_.latency_clamped);
   util::put_u64(out, stats_.latency_rejected);
@@ -334,6 +221,7 @@ void AnomalyDetector::save_state(std::string& out) const {
 bool AnomalyDetector::load_state(std::string_view& in) {
   if (!latency_.load_state(in)) return false;
   std::uint64_t loss = 0;
+  std::uint64_t unused = 0;
   Stats s;
   if (!util::get_u64(in, loss) || !util::get_u64(in, s.events) ||
       !util::get_u64(in, s.rest_errors) || !util::get_u64(in, s.rpc_errors) ||
@@ -341,8 +229,7 @@ bool AnomalyDetector::load_state(std::string_view& in) {
       !util::get_u64(in, s.performance_reports) ||
       !util::get_u64(in, s.suppressed_triggers) ||
       !util::get_u64(in, s.losses_recorded) ||
-      !util::get_u64(in, s.overflow_drops) ||
-      !util::get_u64(in, s.watchdog_trips) ||
+      !util::get_u64(in, unused) || !util::get_u64(in, unused) ||
       !util::get_u64(in, s.orphans_reaped) ||
       !util::get_u64(in, s.latency_clamped) ||
       !util::get_u64(in, s.latency_rejected) ||
@@ -355,9 +242,6 @@ bool AnomalyDetector::load_state(std::string_view& in) {
   }
   loss_count_ = loss;
   stats_ = s;
-  // The new pipeline's overflow counter restarts at zero; folding resumes
-  // from there, not from the pre-crash total.
-  overflow_folded_ = 0;
   return true;
 }
 

@@ -17,10 +17,10 @@
 // Thread safety: a constructed Matcher is immutable on the production
 // symbol-subsequence path — every query method is const and keeps its
 // scratch state on the stack — so one instance may serve concurrent match
-// calls from the fan-out matcher pool without locking.  The std::regex
-// ablation backend memoizes compiled patterns behind a mutex (compiling
-// dominated every call before; see regex_cache_); lookups take the lock
-// briefly, the regex search itself runs outside it.
+// calls without locking.  The std::regex ablation backend memoizes
+// compiled patterns behind a mutex (compiling dominated every call before;
+// see regex_cache_); lookups take the lock briefly, the regex search itself
+// runs outside it.
 #pragma once
 
 #include <cstdint>

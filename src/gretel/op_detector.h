@@ -20,13 +20,6 @@
 // uint16/uint8/double columns through the util/simd.h kernels instead of
 // striding through wire::Event records.  SIMD and scalar kernels are
 // bit-identical, so detection output is invariant under the kernel family.
-//
-// Candidate scoring is embarrassingly parallel — each fingerprint is
-// matched against the snapshot independently — so detect() optionally
-// fans the per-candidate loop out over a util::ThreadPool.  Workers write
-// disjoint slots of the evidence arrays and the reduction (deepest
-// evidence, cutoff, matched set, θ) stays on the calling thread, making
-// the result bit-identical to the serial loop for any pool size.
 #pragma once
 
 #include <span>
@@ -37,7 +30,6 @@
 #include "gretel/matcher.h"
 #include "gretel/report.h"
 #include "gretel/window.h"
-#include "util/thread_pool.h"
 #include "wire/message.h"
 
 namespace gretel::core {
@@ -56,23 +48,19 @@ class OperationDetector {
 
   // `window` is the frozen snapshot and `cols` its columnar view (indices
   // shared); `fault_index` locates the faulty message inside it; `truncate`
-  // selects the operational-fault behaviour.  `match_pool` (optional) fans
-  // candidate scoring out over its workers; a null or empty pool scores
-  // inline.
+  // selects the operational-fault behaviour.
   DetectionResult detect(std::span<const wire::Event> window,
                          const WindowColumns& cols, std::size_t fault_index,
-                         wire::ApiId offending, bool truncate,
-                         util::ThreadPool* match_pool = nullptr) const;
+                         wire::ApiId offending, bool truncate) const;
 
   // Convenience overload building the columnar view on the fly (tests and
   // one-shot callers; the analyzer hot path reuses a scratch instance).
   DetectionResult detect(std::span<const wire::Event> window,
                          std::size_t fault_index, wire::ApiId offending,
-                         bool truncate,
-                         util::ThreadPool* match_pool = nullptr) const {
+                         bool truncate) const {
     WindowColumns cols;
     cols.build(window);
-    return detect(window, cols, fault_index, offending, truncate, match_pool);
+    return detect(window, cols, fault_index, offending, truncate);
   }
 
   // θ for a given matched-count n against this database's N.

@@ -29,7 +29,7 @@ namespace gretel::monitor {
 
 // One flat snapshot of the analyzer's degraded-telemetry counters, suitable
 // for export to an operator dashboard.  Assembled by Analyzer::health();
-// exact totals require a quiescent pipeline (after finish()).
+// exact guard totals require a preceding finish() or tick().
 struct PipelineHealthCounters {
   // Capture tap.
   std::uint64_t frames_decoded = 0;
@@ -37,9 +37,7 @@ struct PipelineHealthCounters {
   std::uint64_t frames_unknown_api = 0;
   std::uint64_t frames_non_monotonic = 0;
   // Detection pipeline.
-  std::uint64_t losses_recorded = 0;        // quarantines + overflow drops
-  std::uint64_t overflow_drops = 0;
-  std::uint64_t watchdog_trips = 0;
+  std::uint64_t losses_recorded = 0;        // quarantines + shed records
   std::uint64_t orphans_reaped = 0;
   std::uint64_t latency_clamped = 0;        // negative gaps clamped to 0
   std::uint64_t latency_rejected = 0;       // non-finite samples rejected
@@ -48,12 +46,6 @@ struct PipelineHealthCounters {
   // Streaming bounds (zero in batch mode, where the caps stay unset).
   std::uint64_t inflight_evicted = 0;       // pending requests evicted by cap
   std::uint64_t series_trimmed = 0;         // retained samples trimmed by cap
-  // Per-shard liveness (sharded pipeline only; empty when serial).  Age in
-  // wall milliseconds since each shard last made progress — consumed
-  // events, or was seen with an empty ring.  stalled_shards counts shards
-  // currently flagged by the steady-state watchdog.
-  std::vector<double> shard_progress_age_ms;
-  std::uint64_t stalled_shards = 0;
   // Monitoring plane (probed watchers; all zero under the oracle substrate).
   std::uint64_t probe_attempts = 0;
   std::uint64_t probe_retries = 0;

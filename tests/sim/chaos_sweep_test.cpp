@@ -46,13 +46,11 @@ std::vector<net::WireRecord> record_workload(std::uint64_t seed) {
   return executor.execute(w.launches);
 }
 
-std::unique_ptr<Analyzer> replay(const std::vector<net::WireRecord>& recs,
-                                 std::size_t num_shards = 1) {
+std::unique_ptr<Analyzer> replay(const std::vector<net::WireRecord>& recs) {
   auto& e = env();
   Analyzer::Options opt;
   opt.config.fp_max = e.training.fp_max;
   opt.config.p_rate = 150.0;
-  opt.config.num_shards = num_shards;
   auto analyzer = std::make_unique<Analyzer>(
       &e.training.db, &e.catalog.apis(), &e.deployment, opt);
   for (const auto& r : recs) analyzer->on_wire(r);
@@ -107,8 +105,6 @@ TEST(ChaosSweep, ZeroChaosIsByteIdenticalBaseline) {
   const auto health = tapped->health();
   EXPECT_EQ(health.frames_quarantined, 0u);
   EXPECT_EQ(health.losses_recorded, 0u);
-  EXPECT_EQ(health.overflow_drops, 0u);
-  EXPECT_EQ(health.watchdog_trips, 0u);
   EXPECT_EQ(health.degraded_reports, 0u);
 }
 
@@ -148,7 +144,6 @@ TEST(ChaosSweep, LossSweepExactAccountingAndDegradedFlags) {
     const auto health = analyzer->health();
     EXPECT_EQ(health.frames_quarantined, stats.truncated);
     EXPECT_EQ(health.losses_recorded, stats.truncated);
-    EXPECT_EQ(health.overflow_drops, 0u);
 
     // Detection volume is monotone non-increasing in the loss rate (the
     // affected sets nest for a fixed seed).
@@ -171,7 +166,7 @@ TEST(ChaosSweep, LossSweepExactAccountingAndDegradedFlags) {
   EXPECT_TRUE(saw_degraded_report);
 }
 
-TEST(ChaosSweep, LossyCaptureIsShardCountInvariant) {
+TEST(ChaosSweep, LossyCaptureReplaysIdentically) {
   const auto records = record_workload(33);
   net::ChaosConfig config;
   config.seed = 7;
@@ -179,12 +174,10 @@ TEST(ChaosSweep, LossyCaptureIsShardCountInvariant) {
   config.truncate_rate = 0.05;
   const auto degraded_records = net::ChaosTap::apply(config, records);
 
-  const auto reference = replay(degraded_records, 1);
-  for (const std::size_t shards : {2u, 4u}) {
-    const auto run = replay(degraded_records, shards);
-    expect_identical_diagnoses(*reference, *run,
-                               "num_shards=" + std::to_string(shards));
-  }
+  const auto reference = replay(degraded_records);
+  ASSERT_FALSE(reference->diagnoses().empty());
+  const auto run = replay(degraded_records);
+  expect_identical_diagnoses(*reference, *run, "second replay");
 }
 
 TEST(ChaosSweep, HeavyMixedChaosNeverCrashes) {
@@ -207,7 +200,7 @@ TEST(ChaosSweep, HeavyMixedChaosNeverCrashes) {
   EXPECT_EQ(stats.records_in - stats.records_out + stats.duplicated,
             stats.total_dropped());
 
-  const auto analyzer = replay(degraded_records, 2);
+  const auto analyzer = replay(degraded_records);
   const auto& tap = analyzer->tap_stats();
   // Corruption may or may not be fatal (a flipped body byte can still
   // parse), so quarantine is bracketed rather than exact here: at least
